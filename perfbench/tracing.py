@@ -142,7 +142,7 @@ def install_layer_hooks(tracer: LayerTracer) -> None:
 
 
 def layer_metrics(tracer: LayerTracer, wall_seconds: float) -> dict[str, float]:
-    """Per-layer metric values (issue names) from one traced window."""
+    """Per-layer metric values from one traced window."""
     calls, inc, own, cnt = (
         tracer.calls, tracer.inclusive, tracer.self_seconds, tracer.counters
     )
