@@ -1,5 +1,5 @@
-"""Measurement helpers: latency percentiles, mention accounting, run
-fingerprint and peak memory.
+"""Measurement helpers: host-speed probe, latency percentiles, mention
+accounting, run fingerprint and peak memory.
 
 Kept free of ``repro`` imports so the unit tests in ``perfbench/tests``
 exercise them without building a model.
@@ -13,7 +13,10 @@ import os
 import platform
 import resource
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 # Percentiles the tail metric may report, low to high. The tail is the
 # highest of these with at least MIN_BEYOND samples above it, so the
@@ -25,10 +28,46 @@ MIN_BEYOND = 10
 # The smallest sample that supports a tail at all (p50 with 10 beyond).
 MIN_SAMPLES = 2 * MIN_BEYOND
 
+# On a shared host the core under this process flips, within seconds,
+# between a quiet state and one where a neighbour contends for it; every
+# timing then moves by up to 1.5x, and the share of contended time drifts
+# from one minute to the next. So each timed operation is bracketed by a
+# fixed probe that is not program code (interpreter arithmetic plus small
+# matrix products), and its wall time is rescaled to the host speed at
+# which the probe takes PROBE_REFERENCE_SECONDS. A change to the program
+# moves the rescaled time as it moves the wall time; host contention
+# moves both the operation and the probe, and mostly cancels.
+# About the probe's quiet-state time on a 2-vCPU Intel Xeon host; the
+# constant only fixes the scale of the reported times.
+PROBE_REFERENCE_SECONDS = 100e-6
+PROBE_REPEATS = 3
+_PROBE_MATRIX = np.random.default_rng(0).standard_normal((32, 32))
+
 REASON_WINDOW = "beyond_encode_window"
 REASON_RAISED = "call_raised"
 REASON_OTHER = "other"
 DROP_REASONS = (REASON_WINDOW, REASON_RAISED, REASON_OTHER)
+
+
+def probe_seconds() -> float:
+    """Fastest of PROBE_REPEATS runs of the fixed probe; the minimum
+    keeps an interrupt during one run from reading as a slow host."""
+    best = math.inf
+    for _ in range(PROBE_REPEATS):
+        started = time.perf_counter()
+        total = 0.0
+        for i in range(1000):
+            total += i * 0.5
+        for _ in range(10):
+            _PROBE_MATRIX @ _PROBE_MATRIX
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def reference_seconds(wall: float, probe_before: float, probe_after: float) -> float:
+    """``wall`` seconds rescaled to the reference host speed, taken as
+    the mean of the probes run just before and just after."""
+    return wall * PROBE_REFERENCE_SECONDS * 2.0 / (probe_before + probe_after)
 
 
 def _rank(n: int, p: float) -> int:
@@ -83,7 +122,8 @@ class Accounting:
 
     ``add_document`` takes the reference mention spans found outside
     the program and the spans the program answered. A document fails
-    when its call raised or any detected mention went unanswered.
+    when its call raised or any detected mention went unanswered;
+    ``add_document`` returns whether it was fully answered.
     """
 
     window: int
@@ -95,14 +135,14 @@ class Accounting:
     documents: int = 0
     failed_documents: int = 0
 
-    def add_document(self, detected_spans, answered_spans, raised: bool) -> None:
+    def add_document(self, detected_spans, answered_spans, raised: bool) -> bool:
         detected = set(detected_spans)
         self.documents += 1
         self.detected += len(detected)
         if raised:
             self.dropped[REASON_RAISED] += len(detected)
             self.failed_documents += 1
-            return
+            return False
         answered = detected & set(answered_spans)
         self.answered += len(answered)
         missing = detected - answered
@@ -111,6 +151,7 @@ class Accounting:
             self.dropped[reason] += 1
         if missing:
             self.failed_documents += 1
+        return not missing
 
     def balanced(self) -> bool:
         """The conservation identity: detected = answered + dropped."""

@@ -3,9 +3,6 @@
 Run from the repository root with ``python -m pytest perfbench/tests``.
 """
 
-import json
-from pathlib import Path
-
 import pytest
 
 import run
@@ -14,16 +11,17 @@ from measure import (
     DROP_REASONS,
     MIN_BEYOND,
     MIN_SAMPLES,
+    PROBE_REFERENCE_SECONDS,
     TAIL_LADDER,
     Accounting,
     f1_percent,
     latency_summary,
     percentile,
+    probe_seconds,
+    reference_seconds,
     samples_beyond,
     tail_percentile,
 )
-
-ROOT = Path(__file__).resolve().parents[2]
 
 
 # -- tail percentile -----------------------------------------------------
@@ -57,14 +55,35 @@ def test_latency_summary_reports_percentile_and_count():
     assert percentile(seconds, 100.0) == 0.2
 
 
+# -- host-speed rescaling and rates ----------------------------------------
+def test_reference_seconds_rescales_by_the_probe_mean():
+    ref = PROBE_REFERENCE_SECONDS
+    assert reference_seconds(1.0, ref, ref) == pytest.approx(1.0)
+    assert reference_seconds(1.0, 2 * ref, 2 * ref) == pytest.approx(0.5)
+    assert reference_seconds(3.0, ref, 2 * ref) == pytest.approx(2.0)
+    assert probe_seconds() > 0
+
+
+def test_window_rates_count_every_call():
+    window = run.Window(
+        wall=[0.2, 0.4], latencies=[0.1, 0.3], documents=[2, 6], mentions=[4, 4]
+    )
+    assert window.docs_per_s() == pytest.approx(8 / 0.4)
+    assert window.docs_per_s(wall=True) == pytest.approx(8 / 0.6)
+    assert window.mentions_per_s() == pytest.approx(8 / 0.4)
+
+
 # -- accounting ------------------------------------------------------------
 def test_accounting_identity_and_failed_share():
     acc = Accounting(window=100)
-    acc.add_document([(0, 1), (5, 6)], [(0, 1), (5, 6)], raised=False)
-    acc.add_document([(10, 12), (99, 101)], [(10, 12)], raised=False)
-    acc.add_document([(3, 4)], [], raised=False)
-    acc.add_document([(1, 2), (7, 8)], [], raised=True)
-    acc.add_document([], [], raised=False)
+    complete = [
+        acc.add_document([(0, 1), (5, 6)], [(0, 1), (5, 6)], raised=False),
+        acc.add_document([(10, 12), (99, 101)], [(10, 12)], raised=False),
+        acc.add_document([(3, 4)], [], raised=False),
+        acc.add_document([(1, 2), (7, 8)], [], raised=True),
+        acc.add_document([], [], raised=False),
+    ]
+    assert complete == [True, False, False, False, True]
     assert acc.balanced()
     assert acc.detected == 7
     assert acc.answered == 3
@@ -124,21 +143,11 @@ def test_smoke_run(name, trace):
     assert report["correct"], report.get("failure")
     assert report["failed"] == 0
     line = run.result_line(report, trace)
-    names = [n for n, _ in (run.PER_LAYER if trace else run.END_TO_END)]
-    assert list(line["metrics"]) == names
+    names = run.metric_units("per_layer" if trace else "end_to_end")
+    assert list(line["metrics"]) == list(names)
     assert line["attempted"] >= MIN_SAMPLES
     if not trace:
         for metric in line["metrics"].values():
             assert metric["value"] > 0
     assert not hasattr(BootlegAnnotator.annotate_batch, "__wrapped__")
 
-
-def test_benchmark_json_lists_the_runner_metrics():
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    assert [(m["name"], m["unit"]) for m in bench["end_to_end"]] == list(
-        run.END_TO_END
-    )
-    assert [(m["name"], m["unit"]) for m in bench["per_layer"]] == list(
-        run.PER_LAYER
-    )
-    assert [w["name"] for w in bench["workloads"]] == list(wl.WORKLOADS)

@@ -66,19 +66,22 @@ class Scale:
     entities: int = 2000
     world_seed: int = 7
     fixture_pages: int = 400
+    # Held-out corpus per workload, in pages. annotate-pages and
+    # annotate-cascade take larger ones so that their input mix (page
+    # lengths and the share of pages past the encode window; the ~1.6%
+    # escalation rate of single sentences) does not swing with the seed.
     held_out_pages: int = 320
-    # Single sentences need a larger held-out corpus: about 1.6% of them
-    # escalate, and the escalation rate must not swing with the seed.
+    annotate_pages: int = 1920
     cascade_pages: int = 1280
     pages_per_call: int = 8
     sentences_per_call: int = 64
     eval_sentences_per_call: int = 128
     train_sentences_per_call: int = 32
-    # Quality of `train` is scored on the model after this many calls
-    # (one epoch), so it does not depend on how many calls fit in the
-    # window; every window makes at least this many.
-    train_scored_calls: int = 69
+    # Set-ups per run: at least setup_reps and setup_seconds of set-up
+    # wall time, so that a cheap set-up is repeated often enough for a
+    # steady median.
     setup_reps: int = 9
+    setup_seconds: float = 2.0
 
 
 # A few seconds per workload; used by the benchmark's own tests.
@@ -86,13 +89,14 @@ TINY = Scale(
     entities=150,
     fixture_pages=40,
     held_out_pages=24,
+    annotate_pages=24,
     cascade_pages=24,
     pages_per_call=4,
     sentences_per_call=8,
     eval_sentences_per_call=32,
     train_sentences_per_call=32,
-    train_scored_calls=2,
     setup_reps=2,
+    setup_seconds=0.0,
 )
 
 
@@ -216,7 +220,7 @@ def _whole(items: list, per_call: int) -> list:
 def page_documents(fixture: Fixture, seed: int) -> list[Document]:
     """Each held-out page joined into one document, seed-shuffled."""
     docs = []
-    for page in held_out_corpus(fixture, seed).pages:
+    for page in held_out_corpus(fixture, seed, fixture.scale.annotate_pages).pages:
         tokens: list[str] = []
         gold = []
         for sentence in page.sentences:
@@ -280,7 +284,9 @@ class CheckFailed(Exception):
 
 @dataclasses.dataclass
 class CallResult:
-    """What one call produced, as the runner counts it."""
+    """What one call produced, as the runner counts it: documents fully
+    answered (every detected or gold mention answered) and answered
+    mentions."""
 
     documents: int
     mentions: int
@@ -354,7 +360,8 @@ class AnnotateWorkload(_Workload):
         ]
         self.annotator = None
         self.accounting = Accounting(ENCODE_WINDOW)
-        self._answers: dict[int, list] = {}
+        # Per distinct call: its answers and its CallResult.
+        self._answers: dict[int, tuple[list, CallResult]] = {}
         self._f1 = {"all": [0, 0, 0], TAIL: [0, 0, 0]}
         self.escalated_docs = 0
 
@@ -396,18 +403,22 @@ class AnnotateWorkload(_Workload):
         answers = [
             [(m.start, m.end, m.entity_id, m.tier) for m in doc] for doc in output
         ]
-        first = self._answers.get(position)
-        if first is None:
-            self._answers[position] = answers
-            self._check_first(start, output)
-        elif answers != first:
+        if position not in self._answers:
+            complete = self._check_first(start, output)
+            result = CallResult(complete, sum(len(doc) for doc in output))
+            self._answers[position] = (answers, result)
+        first, result = self._answers[position]
+        if answers != first:
             raise CheckFailed(f"call {position} answered differently on repeat")
-        return CallResult(len(output), sum(len(doc) for doc in output))
+        return result
 
-    def _check_first(self, start: int, output) -> None:
+    def _check_first(self, start: int, output) -> int:
+        """Full checks of a call's first answer; returns how many of its
+        documents were fully answered."""
         candidate_map = self.fixture.world.candidate_map
         counts = self.fixture.counts
         escalated = []
+        complete = 0
         for offset, mentions in enumerate(output):
             doc_index = start + offset
             detected = self.detected[doc_index]
@@ -425,7 +436,7 @@ class AnnotateWorkload(_Workload):
                         f"document {doc_index}: entity {m.entity_id} is not in "
                         f"the candidate slate of {m.surface!r}"
                     )
-            self.accounting.add_document(detected, spans, raised=False)
+            complete += self.accounting.add_document(detected, spans, raised=False)
             gold = {(s, e): entity for s, e, entity in self.docs[doc_index].gold}
             tail_spans = {
                 span for span, entity in gold.items()
@@ -445,6 +456,7 @@ class AnnotateWorkload(_Workload):
         if self.cascade:
             self.escalated_docs += len(escalated)
             self._check_escalated(start, output, escalated)
+        return complete
 
     def _check_escalated(self, start: int, output, escalated: list[int]) -> None:
         """Escalated mentions equal a standalone full-model pass over
@@ -524,7 +536,7 @@ class EvaluateWorkload(_Workload):
         self.pool = None
         self.pool_start_seconds: list[float] = []
         self.accounting = Accounting(ENCODE_WINDOW)
-        self._answers: dict[int, list] = {}
+        self._answers: dict[int, tuple[list, CallResult]] = {}
         self._records: list = []
         self._serial_seconds = 0.0
         self._pool_seconds = 0.0
@@ -543,6 +555,7 @@ class EvaluateWorkload(_Workload):
         started = time.perf_counter()
         self.pool = AnnotatorPool.from_model(model, workers=self.workers)
         self.pool_start_seconds.append(time.perf_counter() - started)
+        self.trace_metrics["pool.start_s"] = float(np.median(self.pool_start_seconds))
         self.pool.predict_batches(self._encode(0).batches(EVAL_BATCH_SIZE))
 
     def call(self, index: int):
@@ -556,17 +569,18 @@ class EvaluateWorkload(_Workload):
         answers = [
             (r.sentence_id, r.mention_index, r.predicted_entity_id) for r in output
         ]
-        first = self._answers.get(position)
-        if first is None:
-            self._answers[position] = answers
-            self._check_first(position, output)
-        elif answers != first:
+        if position not in self._answers:
+            complete = self._check_first(position, output)
+            self._answers[position] = (answers, CallResult(complete, len(output)))
+        first, result = self._answers[position]
+        if answers != first:
             raise CheckFailed(f"call {position} answered differently on repeat")
-        return CallResult(len(self.chunks[position]), len(output))
+        return result
 
-    def _check_first(self, position: int, records) -> None:
+    def _check_first(self, position: int, records) -> int:
         """Pool records byte-identical to serial predict_batches on the
-        same batches; gold mentions accounted for."""
+        same batches; gold mentions accounted for. Returns how many
+        sentences had every gold mention answered."""
         dataset = self._encode(position)
         model = self.fixture.model
         started = time.perf_counter()
@@ -585,11 +599,13 @@ class EvaluateWorkload(_Workload):
         answered: dict[int, list] = {}
         for record in records:
             answered.setdefault(record.sentence_id, []).append(record.mention_index)
+        complete = 0
         for sentence in self.chunks[position]:
             detected = [(m.start, m.end) for m in sentence.mentions]
             spans = [detected[i] for i in answered.get(sentence.sentence_id, [])]
-            self.accounting.add_document(detected, spans, raised=False)
+            complete += self.accounting.add_document(detected, spans, raised=False)
         self._records.extend(records)
+        return complete
 
     def finish(self) -> None:
         if not self.accounting.balanced():
@@ -601,7 +617,6 @@ class EvaluateWorkload(_Workload):
             "failed_share": 1.0 - acc.answered_share,
         }
         self.details["workers"] = self.workers
-        self.trace_metrics["pool.start_s"] = float(np.median(self.pool_start_seconds))
         if self.trace and self._pool_seconds:
             self.trace_metrics["pool.speedup_vs_serial"] = (
                 self._serial_seconds / self._pool_seconds
@@ -697,9 +712,11 @@ class TrainWorkload(_Workload):
         if not math.isfinite(loss):
             self.failed_steps += steps
             raise CheckFailed(f"non-finite training loss {loss}")
-        if self.calls <= self.fixture.scale.train_scored_calls:
+        # Loss and quality are those of the first epoch (one pass over
+        # the shards), however many calls fit in the window.
+        if self.calls <= self.cycle:
             self.losses.append(loss)
-        if self.calls == self.fixture.scale.train_scored_calls:
+        if self.calls == self.cycle:
             self._scored_state = self.trainer.model.state_dict()
         mentions = sum(item.num_mentions for item in shard.encoded)
         return CallResult(len(shard), mentions)
@@ -713,10 +730,6 @@ class TrainWorkload(_Workload):
             "failed_share": self.failed_steps / self.steps if self.steps else 0.0,
         }
         self.details["train_loss"] = float(np.mean(self.losses))
-
-    @property
-    def min_calls(self) -> int:
-        return self.fixture.scale.train_scored_calls
 
     def answered_share(self) -> float:
         return (self.steps - self.failed_steps) / self.steps if self.steps else 0.0
