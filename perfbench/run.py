@@ -310,6 +310,30 @@ def describe(report: dict) -> list[str]:
     return lines
 
 
+def stop_child_processes() -> None:
+    """End every process the run started and wait for each.
+
+    Fixture training runs in a spawned child and the pool keeps its
+    payload in shared memory; either starts multiprocessing's resource
+    tracker, which by design outlives its parent. Closing the tracker's
+    pipe makes it exit, and waiting reaps it.
+    """
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    for child in multiprocessing.active_children():
+        child.terminate()
+        child.join()
+    tracker = resource_tracker._resource_tracker
+    if getattr(tracker, "_fd", None) is None:
+        return
+    os.close(tracker._fd)
+    tracker._fd = None
+    if tracker._pid is not None:
+        os.waitpid(tracker._pid, 0)
+        tracker._pid = None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -333,7 +357,10 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    report = run(args.workload, args.seed, args.seconds, bool(args.trace))
+    try:
+        report = run(args.workload, args.seed, args.seconds, bool(args.trace))
+    finally:
+        stop_child_processes()
     for line in describe(report):
         print(line)
     print(json.dumps(result_line(report, bool(args.trace))))

@@ -151,3 +151,19 @@ def test_smoke_run(name, trace):
             assert metric["value"] > 0
     assert not hasattr(BootlegAnnotator.annotate_batch, "__wrapped__")
 
+
+def test_no_child_process_outlives_a_run():
+    import multiprocessing
+    import os
+    from multiprocessing import resource_tracker
+
+    report = run.run("evaluate-pool", seed=1, seconds=0.2, trace=False, scale=wl.TINY)
+    assert report["correct"], report.get("failure")
+    tracker = resource_tracker._resource_tracker
+    pid = tracker._pid
+    run.stop_child_processes()
+    assert multiprocessing.active_children() == []
+    assert tracker._fd is None
+    if pid is not None:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
