@@ -73,9 +73,11 @@ bench-core-baseline:
 	pytest benchmarks/bench_perf_core.py --benchmark-only \
 		--benchmark-json=benchmarks/bench_core_baseline.json
 
-# Annotator-pool and prefetch speedup vs. the serial path; asserts
-# byte-identical outputs and bounded shared-memory overhead, and gates
-# the 2x-speedup floor on having >= 4 usable cores (see the script).
+# Annotator-pool throughput: AnnotatorPool.annotate_batch vs. the serial
+# BootlegAnnotator.annotate_batch on one replicated workload (the
+# training prefetcher is not benchmarked); asserts byte-identical
+# outputs and bounded shared-memory overhead, and gates the 2x-speedup
+# floor on having >= 4 usable cores (see the script).
 # Fails on a >20% mean regression against the committed baseline
 # (benchmarks/bench_parallel_baseline.json; refresh it deliberately and
 # commit after an intentional perf change).

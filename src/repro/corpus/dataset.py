@@ -176,14 +176,11 @@ class NedDataset:
             page_adj = (page_adj > 0).astype(np.float64)
             counts_all = page_adj.sum(axis=1)
             # Remove within-mention counts: a mention's own candidates are
-            # alternatives, not sentence context.
-            within = np.zeros_like(counts_all)
-            for m in range(num_mentions):
-                block = page_adj[m * k : (m + 1) * k, m * k : (m + 1) * k]
-                within[m * k : (m + 1) * k] = block.sum(axis=1)
-            page_feature = np.log1p(
-                (counts_all - within).reshape(num_mentions, k)
-            )
+            # alternatives, not sentence context. They are the row sums
+            # of the diagonal (k, k) blocks.
+            blocks = page_adj.reshape(num_mentions, k, num_mentions, k)
+            within = np.einsum("mimj->mi", blocks)
+            page_feature = np.log1p(counts_all.reshape(num_mentions, k) - within)
         return EncodedSentence(
             sentence=sentence,
             token_ids=token_ids,

@@ -19,7 +19,6 @@ from collections.abc import Iterable
 
 import networkx as nx
 import numpy as np
-from scipy import sparse
 
 from repro.errors import KnowledgeBaseError
 from repro.kb.schema import Triple
@@ -36,9 +35,8 @@ class KnowledgeGraph:
         # neighbor id -> set of relation ids connecting the pair
         self._adjacency: dict[int, dict[int, set[int]]] = {}
         self._weights: dict[tuple[int, int], float] = {}
-        # Lazily built CSR views for vectorized sub-matrix extraction.
-        self._csr_binary: sparse.csr_matrix | None = None
-        self._csr_weighted: sparse.csr_matrix | None = None
+        # Lazily built sorted edge keys and values, keyed by use_weights.
+        self._edge_arrays: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
         for triple in triples:
             self.add_triple(triple)
 
@@ -55,7 +53,7 @@ class KnowledgeGraph:
         """Record a triple; adjacency is treated as undirected."""
         self._check_id(triple.subject_id)
         self._check_id(triple.object_id)
-        self._csr_binary = self._csr_weighted = None  # invalidate views
+        self._edge_arrays.clear()  # invalidate the lookup arrays
         self._triples.append(triple)
         self._adjacency.setdefault(triple.subject_id, {}).setdefault(
             triple.object_id, set()
@@ -70,7 +68,7 @@ class KnowledgeGraph:
         self._check_id(b)
         if weight < 0:
             raise KnowledgeBaseError(f"edge weight must be non-negative, got {weight}")
-        self._csr_binary = self._csr_weighted = None  # invalidate views
+        self._edge_arrays.clear()  # invalidate the lookup arrays
         key = (min(a, b), max(a, b))
         self._weights[key] = max(self._weights.get(key, 0.0), weight)
 
@@ -121,34 +119,26 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # Matrices for KG2Ent
     # ------------------------------------------------------------------
-    def _csr(self, use_weights: bool) -> sparse.csr_matrix:
-        """Lazily build (and cache) a CSR view of the adjacency."""
-        cached = self._csr_weighted if use_weights else self._csr_binary
+    def _sorted_edges(self, use_weights: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Lazily build (and cache) sorted ``a * num_entities + b`` keys over
+        both directions of every edge, plus matching values. The sentinel
+        key ``num_entities ** 2`` sorts last, so no lookup runs off the end."""
+        cached = self._edge_arrays.get(use_weights)
         if cached is not None:
             return cached
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        for a, neighbors in self._adjacency.items():
-            for b in neighbors:
-                rows.append(a)
-                cols.append(b)
-                data.append(1.0)
+        n = self.num_entities
+        edges = {a * n + b: 1.0 for a, nbrs in self._adjacency.items() for b in nbrs}
         if use_weights:
             for (a, b), weight in self._weights.items():
                 # Triple edges take precedence (weight 1.0, already added).
-                if b not in self._adjacency.get(a, {}):
-                    rows.extend((a, b))
-                    cols.extend((b, a))
-                    data.extend((weight, weight))
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self.num_entities, self.num_entities)
-        )
-        if use_weights:
-            self._csr_weighted = matrix
-        else:
-            self._csr_binary = matrix
-        return matrix
+                edges.setdefault(a * n + b, weight)
+                edges.setdefault(b * n + a, weight)
+        edges[n * n] = 0.0
+        keys = np.fromiter(edges, dtype=np.int64, count=len(edges))
+        values = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+        order = np.argsort(keys)
+        cached = self._edge_arrays[use_weights] = (keys[order], values[order])
+        return cached
 
     def candidate_adjacency(
         self,
@@ -162,7 +152,8 @@ class KnowledgeGraph:
         ----------
         candidate_ids:
             1-D integer array (length M*K) of entity ids; entries equal to
-            ``pad_id`` are padding and receive no edges.
+            ``pad_id`` are padding and receive no edges. Every other entry
+            must lie in ``[0, num_entities)``.
         use_weights:
             If True, use weighted edges (co-occurrence); otherwise binary
             triple adjacency.
@@ -173,21 +164,26 @@ class KnowledgeGraph:
         entity ids are left unlinked (a mention's duplicate candidates
         must not boost each other), and padded entries receive no edges.
 
-        Implementation: the global adjacency is cached as a CSR matrix;
-        the sub-matrix is a vectorized double fancy-index, so per-sentence
-        extraction is O(nnz in the slice) instead of O(L²) Python loops.
+        Implementation: the edges are cached as sorted ``a * num_entities
+        + b`` keys with matching values. The query keys of every pair of
+        non-pad entries are answered by one ``np.searchsorted`` plus an
+        equality mask and scattered into a zero (L, L) matrix, so padding
+        costs no lookups and extraction is O(V² log E) array work for V
+        non-pad entries and E edges, instead of O(L²) Python loops.
         """
         ids = np.asarray(candidate_ids, dtype=np.int64)
-        length = ids.shape[0]
-        valid = ids != pad_id
-        safe = np.where(valid, ids, 0)
-        csr = self._csr(use_weights)
-        matrix = csr[safe][:, safe].toarray().astype(np.float64)
-        # Kill padded rows/columns and same-entity pairs.
-        matrix[~valid, :] = 0.0
-        matrix[:, ~valid] = 0.0
-        same = np.equal.outer(ids, ids)
-        matrix[same] = 0.0
+        real = np.flatnonzero(ids != pad_id)
+        real_ids = ids[real]
+        n = self.num_entities
+        if real_ids.size and (real_ids.min() < 0 or real_ids.max() >= n):
+            raise KnowledgeBaseError(f"candidate ids out of range [0, {n})")
+        keys, values = self._sorted_edges(use_weights)
+        query = real_ids[:, None] * n + real_ids
+        slot = np.searchsorted(keys, query)
+        pairs = np.where(keys[slot] == query, values[slot], 0.0)
+        pairs[real_ids[:, None] == real_ids] = 0.0  # same-entity pairs
+        matrix = np.zeros((ids.size, ids.size), dtype=np.float64)
+        matrix[real[:, None], real] = pairs  # padded rows/columns stay zero
         return matrix
 
     def to_networkx(self) -> nx.Graph:

@@ -153,6 +153,28 @@ class TestPageFeature:
         total = sum(float(e.page_feature.sum()) for e in dataset.encoded)
         assert total > 0
 
+    def test_feature_matches_per_mention_loop(self, world, corpus):
+        """The diagonal-block sum equals the per-mention block loop."""
+        vocab = build_vocabulary(corpus)
+        page_graph = build_page_graph(corpus, world.num_entities)
+        k = 4
+        dataset = NedDataset(
+            corpus, "train", vocab, world.candidate_map, k, page_graph=page_graph,
+        )
+        for item in dataset.encoded:
+            m = item.num_mentions
+            page_adj = page_graph.candidate_adjacency(
+                item.candidate_ids.reshape(-1), use_weights=True, pad_id=-1
+            )
+            page_adj = (page_adj > 0).astype(np.float64)
+            counts_all = page_adj.sum(axis=1)
+            within = np.zeros_like(counts_all)
+            for i in range(m):
+                block = page_adj[i * k : (i + 1) * k, i * k : (i + 1) * k]
+                within[i * k : (i + 1) * k] = block.sum(axis=1)
+            expected = np.log1p((counts_all - within).reshape(m, k))
+            assert item.page_feature.tobytes() == expected.tobytes()
+
     def test_no_page_graph_means_none(self, world, corpus):
         vocab = build_vocabulary(corpus)
         dataset = NedDataset(corpus, "train", vocab, world.candidate_map, 4)

@@ -1,5 +1,10 @@
 """Tests for the knowledge base, knowledge graph, aliases, and world gen."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -165,6 +170,58 @@ class TestKnowledgeGraph:
         ids = np.array([0, 0])
         adj = kg.candidate_adjacency(ids)
         assert adj.sum() == 0.0
+
+    def test_candidate_adjacency_without_edges(self):
+        kg = KnowledgeGraph(5)
+        ids = np.array([0, 4, -1, 2, 4])
+        for use_weights in (False, True):
+            adj = kg.candidate_adjacency(ids, use_weights=use_weights)
+            assert adj.shape == (5, 5) and adj.dtype == np.float64
+            assert not adj.any()
+        assert kg.candidate_adjacency(np.array([], dtype=np.int64)).shape == (0, 0)
+
+    def test_candidate_adjacency_sees_edges_added_after_a_query(self):
+        kg = KnowledgeGraph(5, [Triple(0, 0, 1)])
+        ids = np.array([0, 1, 2, 3])
+        assert kg.candidate_adjacency(ids)[0, 1] == 1.0
+        assert kg.candidate_adjacency(ids, use_weights=True)[2, 3] == 0.0
+        kg.add_triple(Triple(1, 0, 2))
+        kg.add_weighted_edge(2, 3, 0.5)
+        binary = kg.candidate_adjacency(ids)
+        assert binary[1, 2] == binary[2, 1] == 1.0
+        assert binary[2, 3] == 0.0
+        weighted = kg.candidate_adjacency(ids, use_weights=True)
+        assert weighted[1, 2] == 1.0
+        assert weighted[2, 3] == weighted[3, 2] == 0.5
+
+    def test_candidate_adjacency_rejects_out_of_range_ids(self):
+        kg = KnowledgeGraph(5, [Triple(0, 0, 1)])
+        for bad in (5, -2):
+            with pytest.raises(KnowledgeBaseError):
+                kg.candidate_adjacency(np.array([0, bad]))
+
+    def test_dataset_build_does_not_import_scipy(self):
+        """scipy is a dev dependency only: encoding a dataset against the
+        world KG must not load it. A fresh interpreter proves it."""
+        probe = (
+            "import sys\n"
+            "from repro.corpus import CorpusConfig, NedDataset, "
+            "build_vocabulary, generate_corpus\n"
+            "from repro.kb import WorldConfig, generate_world\n"
+            "world = generate_world(WorldConfig(num_entities=60, seed=3))\n"
+            "corpus = generate_corpus(world, CorpusConfig(num_pages=10, seed=3))\n"
+            "dataset = NedDataset(corpus, 'train', build_vocabulary(corpus), "
+            "world.candidate_map, 4, kgs=[world.kg])\n"
+            "assert len(dataset) > 0\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_weighted_edges(self):
         kg = KnowledgeGraph(4)

@@ -185,6 +185,40 @@ class TestKnowledgeGraphProperties:
         assert (matrix >= 0).all()
         assert np.diag(matrix).sum() == 0
 
+    @given(data=st.data(), use_weights=st.booleans())
+    def test_candidate_adjacency_matches_pairwise_reference(self, data, use_weights):
+        n = data.draw(st.integers(1, 9), label="num_entities")
+        entity = st.integers(0, n - 1)
+        triples = data.draw(st.lists(st.tuples(entity, entity), max_size=15))
+        weight = st.floats(0, 5, allow_nan=False)
+        # Weighted pairs mix fresh pairs, pairs that are also triples, and
+        # self-loops; triples must win at weight 1.0.
+        pairs = data.draw(st.lists(st.tuples(entity, entity), max_size=15))
+        if triples:
+            pairs += data.draw(st.lists(st.sampled_from(triples), max_size=5))
+        pairs += [(e, e) for e in data.draw(st.lists(entity, max_size=3))]
+        pad = -1
+        ids = data.draw(st.lists(st.sampled_from([pad, *range(n)]), max_size=12))
+        # Always include a pad, a duplicate, and the last entity id.
+        ids = data.draw(st.permutations(ids + [pad, n - 1, n - 1]), label="ids")
+
+        kg = KnowledgeGraph(n, [Triple(s, 0, o) for s, o in triples])
+        for a, b in pairs:
+            kg.add_weighted_edge(a, b, data.draw(weight))
+        matrix = kg.candidate_adjacency(np.array(ids), use_weights, pad_id=pad)
+
+        reference = np.zeros((len(ids), len(ids)), dtype=np.float64)
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                if pad in (a, b) or a == b:
+                    continue
+                if use_weights:
+                    reference[i, j] = kg.edge_weight(a, b)
+                else:
+                    reference[i, j] = float(kg.connected(a, b))
+        assert matrix.dtype == reference.dtype and matrix.shape == reference.shape
+        assert matrix.tobytes() == reference.tobytes()
+
 
 class TestRegularizationProperties:
     @given(
