@@ -343,19 +343,32 @@ class BootlegModel(Module):
             )
 
         flat = entities.reshape(batch_size, num_mentions * k, config.hidden_dim)
-        candidate_pad = ~batch.candidate_mask.reshape(batch_size, num_mentions * k)
+        real_slots = batch.candidate_mask.reshape(batch_size, num_mentions * k)
         adjacencies = batch.adjacencies[: config.num_kg_modules]
         if config.num_kg_modules > 0 and len(adjacencies) < config.num_kg_modules:
             raise ConfigError(
                 f"model expects {config.num_kg_modules} adjacency matrices, "
                 f"batch has {len(adjacencies)}"
             )
+        # Inference runs the attention stack on each document's real
+        # candidates only; the autograd path keeps the padded layout.
+        compact = not is_grad_enabled()
+        if compact:
+            flat, real_rows, adjacencies = _compact_candidates(
+                flat.data, real_slots, adjacencies
+            )
+            candidate_pad = ~real_rows
+        else:
+            candidate_pad = ~real_slots
 
         ensemble: list[Tensor] = []
         current = flat
         for layer in range(config.num_layers):
             phrase = self.phrase2ent[layer](
-                current, words, word_pad_mask=batch.token_pad_mask
+                current,
+                words,
+                word_pad_mask=batch.token_pad_mask,
+                candidate_pad_mask=candidate_pad,
             )
             cooc = self.ent2ent[layer](current, candidate_pad_mask=candidate_pad)
             e_prime = phrase + cooc
@@ -380,10 +393,15 @@ class BootlegModel(Module):
             flat_scores = branch_scores[0]
         else:
             flat_scores = stack(branch_scores, axis=0).max(axis=0)
-        scores = flat_scores.reshape(batch_size, num_mentions, k)
-        scores = scores.masked_fill(~batch.candidate_mask, NEG_INF)
+        if compact:
+            flat_scores = Tensor(
+                _scatter(flat_scores.data, real_rows, real_slots, NEG_INF)
+            )
+            current = Tensor(_scatter(current.data, real_rows, real_slots, 0.0))
+        else:
+            flat_scores = flat_scores.masked_fill(~real_slots, NEG_INF)
         return BootlegOutput(
-            scores=scores,
+            scores=flat_scores.reshape(batch_size, num_mentions, k),
             type_logits=type_logits,
             contextual_entities=current.reshape(
                 batch_size, num_mentions, k, config.hidden_dim
@@ -419,3 +437,37 @@ class BootlegModel(Module):
         m_index = np.arange(best.shape[1])[None, :]
         predicted = batch.candidate_ids[b_index, m_index, best]
         return np.where(batch.mention_mask, predicted, -1)
+
+
+def _compact_candidates(
+    flat: np.ndarray, real_slots: np.ndarray, adjacencies: list[np.ndarray]
+) -> tuple[Tensor, np.ndarray, list[np.ndarray]]:
+    """Gather each document's real candidate slots to the front, in order.
+
+    ``flat`` is (B, M·K, H) and ``real_slots`` (B, M·K). Returns the
+    (B, L', H) entities with zero pad rows, the (B, L') real-row mask and
+    the adjacencies gathered to (B, L', L'), where L' is the largest
+    real-candidate count of any document (at least 1).
+    """
+    counts = real_slots.sum(axis=1)
+    length = max(int(counts.max(initial=0)), 1)
+    real_rows = np.arange(length) < counts[:, None]
+    entities = np.zeros((flat.shape[0], length, flat.shape[2]), dtype=flat.dtype)
+    entities[real_rows] = flat[real_slots]
+    slots = np.zeros(real_rows.shape, dtype=np.int64)
+    slots[real_rows] = np.nonzero(real_slots)[1]
+    docs = np.arange(flat.shape[0])[:, None, None]
+    gathered = [
+        adjacency[docs, slots[:, :, None], slots[:, None, :]]
+        for adjacency in adjacencies
+    ]
+    return Tensor(entities), real_rows, gathered
+
+
+def _scatter(
+    rows: np.ndarray, real_rows: np.ndarray, real_slots: np.ndarray, fill: float
+) -> np.ndarray:
+    """Inverse of :func:`_compact_candidates`: (B, L', ...) -> (B, M·K, ...)."""
+    out = np.full(real_slots.shape + rows.shape[2:], fill, dtype=rows.dtype)
+    out[real_slots] = rows[real_rows]
+    return out

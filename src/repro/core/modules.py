@@ -37,9 +37,12 @@ class Phrase2Ent(Module):
         entities: Tensor,
         words: Tensor,
         word_pad_mask: np.ndarray | None = None,
+        candidate_pad_mask: np.ndarray | None = None,
     ) -> Tensor:
         """entities: (B, L, H) flattened candidates; words: (B, N, H)."""
-        return self.attention(entities, words, key_mask=word_pad_mask)
+        return self.attention(
+            entities, words, key_mask=word_pad_mask, query_mask=candidate_pad_mask
+        )
 
 
 class Ent2Ent(Module):
@@ -100,9 +103,7 @@ class KG2Ent(Module):
             diagonal = np.arange(length)
             scores[:, diagonal, diagonal] += float(self.self_weight.data[0])
             if candidate_pad_mask is not None:
-                scores[
-                    np.broadcast_to(candidate_pad_mask[:, None, :], scores.shape)
-                ] = NEG_INF
+                np.copyto(scores, NEG_INF, where=candidate_pad_mask[:, None, :])
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=-1, keepdims=True)

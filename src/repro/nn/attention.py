@@ -42,7 +42,7 @@ class ScaledDotProductAttention(Module):
             scores = (query.data @ key.data.swapaxes(-1, -2)) * float(1.0 / np.sqrt(d))
             if key_mask is not None:
                 mask = np.asarray(key_mask, dtype=bool)
-                scores[np.broadcast_to(mask[..., None, :], scores.shape)] = NEG_INF
+                np.copyto(scores, NEG_INF, where=mask[..., None, :])
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=-1, keepdims=True)
@@ -113,8 +113,17 @@ class MultiHeadAttention(Module):
         query: Tensor,
         context: Tensor | None = None,
         key_mask: np.ndarray | None = None,
+        query_mask: np.ndarray | None = None,
     ) -> Tensor:
-        """Attend ``query`` over ``context`` (self-attention if omitted)."""
+        """Attend ``query`` over ``context`` (self-attention if omitted).
+
+        ``key_mask`` and ``query_mask`` are True at padding; the query
+        mask defaults to the key mask for self-attention. With gradients
+        off, the projections, norms and feed-forward run on the real rows
+        only and pad query rows come back as zeros. The autograd path
+        computes every row.
+        """
+        self_attention = context is None
         if context is None:
             context = query
         if query.shape[-1] != self.hidden_dim or context.shape[-1] != self.hidden_dim:
@@ -122,12 +131,20 @@ class MultiHeadAttention(Module):
                 f"MHA expected hidden dim {self.hidden_dim}, got "
                 f"query {query.shape[-1]} / context {context.shape[-1]}"
             )
+        if key_mask is not None:
+            key_mask = np.asarray(key_mask, dtype=bool)
+        if query_mask is not None:
+            query_mask = np.asarray(query_mask, dtype=bool)
+        dropout_off = self.dropout is None or not self.dropout.training
+        if not is_grad_enabled() and dropout_off:
+            if query_mask is None and self_attention:
+                query_mask = key_mask
+            return self._forward_real_rows(query, context, key_mask, query_mask)
         q = self._split_heads(self.q_proj(query))
         k = self._split_heads(self.k_proj(context))
         v = self._split_heads(self.v_proj(context))
         head_mask = None
         if key_mask is not None:
-            key_mask = np.asarray(key_mask, dtype=bool)
             # Insert the heads axis: (..., k_len) -> (..., 1, k_len).
             head_mask = key_mask[..., None, :]
         attended = self.attention(q, k, v, key_mask=head_mask)
@@ -139,6 +156,80 @@ class MultiHeadAttention(Module):
         if self.dropout is not None:
             ff = self.dropout(ff)
         return self.norm_ff(x + ff)
+
+    def _unpack_heads(
+        self, rows: Tensor, real: np.ndarray | None, shape: tuple
+    ) -> Tensor:
+        """Packed (R, H) rows -> (..., heads, L, head_dim), zero pad rows."""
+        x = _unpack(rows.data, real, shape)
+        return Tensor(
+            x.reshape(*shape[:-1], self.num_heads, self.head_dim).swapaxes(-2, -3)
+        )
+
+    def _forward_real_rows(
+        self,
+        query: Tensor,
+        context: Tensor,
+        key_mask: np.ndarray | None,
+        query_mask: np.ndarray | None,
+    ) -> Tensor:
+        """Inference path: row-wise work on the packed real rows only.
+
+        Only the score/softmax step runs on the padded layout. Keys of a
+        row whose keys are all padding are kept: the autograd path
+        attends uniformly over them, and so does this one.
+        """
+        real_q = _real_rows(query_mask, query.shape)
+        real_k = None
+        head_mask = None
+        if key_mask is not None and key_mask.any():
+            head_mask = key_mask[..., None, :]
+            all_pad = key_mask.all(axis=-1, keepdims=True)
+            if context is query and query_mask is key_mask and not all_pad.any():
+                real_k = real_q
+            else:
+                real_k = _real_rows(key_mask & ~all_pad, context.shape)
+        query_rows = Tensor(_pack(query.data, real_q))
+        if context is query and real_k is real_q:
+            context_rows = query_rows
+        else:
+            context_rows = Tensor(_pack(context.data, real_k))
+        attended = self.attention(
+            self._unpack_heads(self.q_proj(query_rows), real_q, query.shape),
+            self._unpack_heads(self.k_proj(context_rows), real_k, context.shape),
+            self._unpack_heads(self.v_proj(context_rows), real_k, context.shape),
+            key_mask=head_mask,
+        )
+        merged = attended.data.swapaxes(-2, -3)  # (..., Lq, heads, head_dim)
+        if real_q is not None:
+            merged = merged[real_q]
+        merged = Tensor(merged.reshape(-1, self.hidden_dim))
+        x = self.norm_attn(query_rows + self.out_proj(merged))
+        ff = self.ff_out(self.ff_in(x).gelu())
+        return Tensor(_unpack(self.norm_ff(x + ff).data, real_q, query.shape))
+
+
+def _real_rows(pad: np.ndarray | None, shape: tuple) -> np.ndarray | None:
+    """Mask of the rows of an (..., L, H) array that are not padding;
+    None when no row is."""
+    if pad is None or not pad.any():
+        return None
+    real = ~pad
+    return real if real.shape == shape[:-1] else np.broadcast_to(real, shape[:-1])
+
+
+def _pack(x: np.ndarray, real: np.ndarray | None) -> np.ndarray:
+    """The ``real`` rows of ``x`` (..., H) as one (R, H) array."""
+    return x.reshape(-1, x.shape[-1]) if real is None else x[real]
+
+
+def _unpack(rows: np.ndarray, real: np.ndarray | None, shape: tuple) -> np.ndarray:
+    """Inverse of :func:`_pack`: scatter rows back, zeros at the pad rows."""
+    if real is None:
+        return rows.reshape(shape)
+    out = np.zeros(shape, dtype=rows.dtype)
+    out[real] = rows
+    return out
 
 
 class AdditiveAttention(Module):

@@ -1,6 +1,8 @@
 """Tests for the inference fast path: float32 compute policy, static
 payload caching, batched annotation, and prediction assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core import (
     Trainer,
     predict,
 )
+from repro.core.model import MODEL_PRESETS
 from repro.corpus import (
     CollateBuffers,
     CorpusConfig,
@@ -25,6 +28,7 @@ from repro.errors import ConfigError
 from repro.kb import WorldConfig, generate_world
 from repro.kb.aliases import normalize_alias
 from repro.nn import compute_dtype, no_grad
+from repro.nn.attention import NEG_INF
 from repro.nn.optim import Adam, clip_grad_norm
 
 
@@ -200,6 +204,107 @@ class TestStaticPayloadCache:
         with no_grad(), compute_dtype(np.float32):
             m(batch)
         assert m.embedder._static_cache.dtype == np.float32
+
+
+def with_second_adjacency(batch):
+    """The batch with a random second KG adjacency for two KG modules."""
+    first = batch.adjacencies[0]
+    second = np.random.default_rng(5).random(first.shape)
+    return dataclasses.replace(batch, adjacencies=[first, second])
+
+
+@pytest.fixture(scope="module")
+def pad_heavy_batches(world, dataset):
+    """Batches whose padding the inference forward compacts away."""
+    encoded = dataset.encoded
+    # A document with zero real candidates between two real ones.
+    empty = dataset.collate(encoded[:6])
+    empty = dataclasses.replace(
+        empty,
+        candidate_ids=empty.candidate_ids.copy(),
+        candidate_mask=empty.candidate_mask.copy(),
+        mention_mask=empty.mention_mask.copy(),
+    )
+    empty.candidate_ids[2] = -1
+    empty.candidate_mask[2] = False
+    empty.mention_mask[2] = False
+    # Every candidate slot real: the compact length is M·K.
+    full = dataset.collate(encoded[6:10])
+    filler = np.random.default_rng(3).integers(
+        0, world.num_entities, size=full.candidate_ids.shape
+    )
+    full = dataclasses.replace(
+        full,
+        candidate_ids=np.where(full.candidate_mask, full.candidate_ids, filler),
+        candidate_mask=np.ones_like(full.candidate_mask),
+        mention_mask=np.ones_like(full.mention_mask),
+    )
+    # One document alone, with padded candidate slots.
+    single = next(
+        item for item in encoded if (item.candidate_ids < 0).any()
+    )
+    batches = {
+        "empty_doc": empty,
+        "all_real": full,
+        "single_doc": dataset.collate([single]),
+    }
+    assert not empty.candidate_mask.all() and empty.candidate_mask.mean() < 0.6
+    assert full.candidate_mask.all()
+    return {name: with_second_adjacency(b) for name, b in batches.items()}
+
+
+PAD_FREE_CONFIGS = [
+    *[pytest.param(overrides, id=name) for name, overrides in MODEL_PRESETS.items()],
+    pytest.param({"num_layers": 2}, id="num_layers=2"),
+    pytest.param({"num_kg_modules": 2}, id="num_kg_modules=2"),
+    pytest.param({"use_ensemble_scoring": False}, id="no_ensemble"),
+]
+
+
+class TestPadFreeForward:
+    """The no-grad forward compacts each document's real candidates; it
+    must agree with the padded autograd forward in eval mode."""
+
+    def check(self, model, batch, atol):
+        real = batch.candidate_mask
+        reference = model(batch)
+        with no_grad():
+            fast = model(batch)
+        np.testing.assert_allclose(
+            fast.scores.data[real], reference.scores.data[real], rtol=0, atol=atol
+        )
+        np.testing.assert_array_equal(
+            fast.scores.data.argmax(axis=-1), reference.scores.data.argmax(axis=-1)
+        )
+        assert (fast.scores.data[~real] == NEG_INF).all()
+        np.testing.assert_allclose(
+            fast.contextual_entities.data[real],
+            reference.contextual_entities.data[real],
+            rtol=0,
+            atol=atol,
+        )
+        assert (fast.contextual_entities.data[~real] == 0.0).all()
+
+    @pytest.mark.parametrize("overrides", PAD_FREE_CONFIGS)
+    def test_matches_padded_autograd_forward(
+        self, world, vocab, pad_heavy_batches, overrides
+    ):
+        model = BootlegModel(
+            BootlegConfig(num_candidates=4, **overrides), world.kb, vocab
+        )
+        model.eval()
+        for batch in pad_heavy_batches.values():
+            self.check(model, batch, atol=1e-10)
+
+    def test_matches_padded_autograd_forward_in_float32(
+        self, world, vocab, pad_heavy_batches
+    ):
+        model = BootlegModel(BootlegConfig(num_candidates=4), world.kb, vocab)
+        model.half_precision()
+        model.eval()
+        with compute_dtype(np.float32):
+            for batch in pad_heavy_batches.values():
+                self.check(model, batch, atol=1e-5)
 
 
 class TestPredictAssembly:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.regularization import P_MAX, P_MIN, make_scheme
 from repro.corpus.vocab import Vocabulary
 from repro.kb import CandidateMap, KnowledgeGraph, Triple, zipf_weights
-from repro.nn import Tensor, concat, cross_entropy
+from repro.nn import MultiHeadAttention, Tensor, concat, cross_entropy, no_grad
 from repro.nn.tensor import _unbroadcast
 from repro.utils.rng import spawn_rng
 from repro.utils.tables import format_table
@@ -105,6 +105,49 @@ class TestTensorProperties:
             Tensor(np.zeros((batch, num_classes))), targets
         ).item()
         np.testing.assert_allclose(uniform, np.log(num_classes), atol=1e-12)
+
+
+class TestMultiHeadAttentionProperties:
+    @given(
+        data=st.data(),
+        batch=st.integers(1, 3),
+        q_len=st.integers(1, 6),
+        k_len=st.integers(1, 6),
+        self_attention=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_real_row_path_matches_autograd(
+        self, data, batch, q_len, k_len, self_attention, seed
+    ):
+        """No-grad MHA under random key/query pad masks: real query rows
+        equal the padded autograd computation, pad query rows are zero."""
+        if self_attention:
+            k_len = q_len
+
+        def mask(length):
+            bits = st.lists(st.booleans(), min_size=length, max_size=length)
+            return np.array([data.draw(bits) for _ in range(batch)], dtype=bool)
+
+        key_mask = mask(k_len)
+        query_mask = key_mask if self_attention else mask(q_len)
+        rng = np.random.default_rng(seed)
+        mha = MultiHeadAttention(8, 2, rng)
+        mha.eval()
+        query = Tensor(rng.normal(size=(batch, q_len, 8)))
+        context = None
+        if not self_attention:
+            context = Tensor(rng.normal(size=(batch, k_len, 8)))
+        reference = mha(query, context, key_mask=key_mask).data
+        with no_grad():
+            fast = mha(
+                query,
+                context,
+                key_mask=key_mask,
+                query_mask=None if self_attention else query_mask,
+            ).data
+        real = ~query_mask
+        np.testing.assert_allclose(fast[real], reference[real], rtol=0, atol=1e-12)
+        assert (fast[query_mask] == 0.0).all()
 
 
 class TestCandidateMapProperties:
